@@ -10,6 +10,7 @@ own private history.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Tuple
 
@@ -50,6 +51,14 @@ class PrivateHistory:
     BarterCast message protocol needs (top uploaders to the owner, most
     recently seen peers).
 
+    Both selections are kept sorted on write, so a message reads them as
+    slices.  Each order holds one ``(-value, repr(peer), seq, peer)`` entry
+    per peer.  ``seq``, the peer's creation index, breaks ties on
+    ``(-value, repr(peer))`` in creation order, the order a stable sort of
+    the ledger would give, and keeps comparisons from reaching ``peer``
+    (ids of mixed types need not be orderable).  An entry moves only when
+    its value changes.
+
     Parameters
     ----------
     owner:
@@ -59,6 +68,10 @@ class PrivateHistory:
     def __init__(self, owner: PeerId) -> None:
         self.owner = owner
         self._records: Dict[PeerId, TransferTotals] = {}
+        # peer -> (repr(peer), creation seq, peer): the sort-key tail.
+        self._tie: Dict[PeerId, Tuple[str, int, PeerId]] = {}
+        self._by_download: List[tuple] = []
+        self._by_recency: List[tuple] = []
         self._total_up = 0.0
         self._total_down = 0.0
 
@@ -70,15 +83,18 @@ class PrivateHistory:
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
         rec.uploaded += float(nbytes)
-        rec.last_seen = max(rec.last_seen, float(now))
+        self._see(peer, rec, float(now))
         self._total_up += float(nbytes)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``."""
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
-        rec.downloaded += float(nbytes)
-        rec.last_seen = max(rec.last_seen, float(now))
+        old = rec.downloaded
+        rec.downloaded = old + float(nbytes)
+        if rec.downloaded != old:
+            _move(self._by_download, self._tie[peer], -old, -rec.downloaded)
+        self._see(peer, rec, float(now))
         self._total_down += float(nbytes)
 
     def touch(self, peer: PeerId, now: float) -> None:
@@ -86,8 +102,13 @@ class PrivateHistory:
         without any transfer, so it counts as "recently seen"."""
         if peer == self.owner:
             raise ValueError("a peer cannot interact with itself")
-        rec = self._get_or_create(peer)
-        rec.last_seen = max(rec.last_seen, float(now))
+        self._see(peer, self._get_or_create(peer), float(now))
+
+    def _see(self, peer: PeerId, rec: TransferTotals, now: float) -> None:
+        old = rec.last_seen
+        if now > old:
+            rec.last_seen = now
+            _move(self._by_recency, self._tie[peer], -old, -now)
 
     def _validate(self, peer: PeerId, nbytes: float) -> None:
         if peer == self.owner:
@@ -100,6 +121,10 @@ class PrivateHistory:
         if rec is None:
             rec = TransferTotals()
             self._records[peer] = rec
+            tie = (repr(peer), len(self._tie), peer)
+            self._tie[peer] = tie
+            insort(self._by_download, (-0.0,) + tie)
+            insort(self._by_recency, (-0.0,) + tie)
         return rec
 
     # ------------------------------------------------------------------
@@ -115,6 +140,11 @@ class PrivateHistory:
         if rec is None:
             return TransferTotals()
         return TransferTotals(rec.uploaded, rec.downloaded, rec.last_seen)
+
+    def __getitem__(self, peer: PeerId) -> TransferTotals:
+        """Live totals with a known ``peer`` (do not mutate; raises
+        ``KeyError`` for a stranger).  Use :meth:`get` for a copy."""
+        return self._records[peer]
 
     def __contains__(self, peer: PeerId) -> bool:
         return peer in self._records
@@ -152,27 +182,27 @@ class PrivateHistory:
     def top_uploaders(self, n: int) -> List[PeerId]:
         """The ``n`` peers with the highest upload *to the owner*.
 
-        Ties are broken deterministically by peer id representation so the
-        protocol is reproducible across runs.
+        Ties are broken deterministically by peer id representation (then
+        creation order) so the protocol is reproducible across runs.
         """
         if n <= 0:
             return []
-        ranked = sorted(
-            self._records.items(), key=lambda kv: (-kv[1].downloaded, repr(kv[0]))
-        )
-        return [peer for peer, rec in ranked[:n] if rec.downloaded > 0]
+        return [e[3] for e in self._by_download[:n] if e[0] < 0.0]
 
     def most_recent(self, n: int) -> List[PeerId]:
         """The ``n`` most recently seen peers (newest first)."""
         if n <= 0:
             return []
-        ranked = sorted(
-            self._records.items(), key=lambda kv: (-kv[1].last_seen, repr(kv[0]))
-        )
-        return [peer for peer, _ in ranked[:n]]
+        return [e[3] for e in self._by_recency[:n]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<PrivateHistory owner={self.owner!r} peers={len(self._records)} "
             f"up={self._total_up:.0f} down={self._total_down:.0f}>"
         )
+
+
+def _move(order: List[tuple], tie: Tuple[str, int, PeerId], old: float, new: float) -> None:
+    """Re-key one peer's entry in a sorted selection order."""
+    del order[bisect_left(order, (old,) + tie)]
+    insort(order, (new,) + tie)

@@ -23,6 +23,8 @@ __all__ = ["HistoryRecord", "BarterCastMessage", "select_records"]
 
 PeerId = Hashable
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class HistoryRecord:
@@ -44,14 +46,8 @@ class HistoryRecord:
 
     def is_sane(self) -> bool:
         """Basic well-formedness: finite, non-negative totals."""
-        return (
-            self.uploaded >= 0.0
-            and self.downloaded >= 0.0
-            and self.uploaded == self.uploaded  # not NaN
-            and self.downloaded == self.downloaded
-            and self.uploaded != float("inf")
-            and self.downloaded != float("inf")
-        )
+        # NaN fails both comparisons.
+        return 0.0 <= self.uploaded < _INF and 0.0 <= self.downloaded < _INF
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,26 +124,14 @@ def select_records(
     owner and the ``n_recent`` most recently seen peers, preserving the
     top-uploader-first order and deduplicating.
     """
-    chosen: List[PeerId] = []
-    seen = set()
-    for peer in history.top_uploaders(n_highest):
-        if peer not in seen:
-            seen.add(peer)
-            chosen.append(peer)
-    for peer in history.most_recent(n_recent):
-        if peer not in seen:
-            seen.add(peer)
-            chosen.append(peer)
+    # A dict keeps each peer's first position: top uploaders, then the
+    # recent peers not already chosen.
+    chosen = dict.fromkeys(history.top_uploaders(n_highest))
+    chosen.update(dict.fromkeys(history.most_recent(n_recent)))
     records = []
     for peer in chosen:
-        totals = history.get(peer)
-        records.append(
-            HistoryRecord(
-                counterparty=peer,
-                uploaded=totals.uploaded,
-                downloaded=totals.downloaded,
-            )
-        )
+        totals = history[peer]
+        records.append(HistoryRecord(peer, totals.uploaded, totals.downloaded))
     return records
 
 

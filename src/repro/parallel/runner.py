@@ -109,6 +109,7 @@ class _Inflight:
     task: SweepTask
     attempt: int
     submitted: float
+    pool: ProcessPoolExecutor
 
 
 class ParallelRunner:
@@ -239,6 +240,7 @@ class ParallelRunner:
         n_retries = 0
         n_timeouts = 0
         n_pool_rebuilds = 0
+        n_submit_breaks = 0
 
         def fail_or_retry(index: int, task: SweepTask, attempt: int, reason: str) -> None:
             nonlocal n_retries
@@ -248,22 +250,40 @@ class ParallelRunner:
             else:
                 failures.append((task, reason))
 
+        def drop_pool() -> None:
+            nonlocal executor, n_pool_rebuilds
+            executor.shutdown(wait=False, cancel_futures=True)
+            executor = None
+            n_pool_rebuilds += 1
+
         try:
             while work or inflight:
                 while work and len(inflight) < max_inflight:
                     index, task, attempt = work.popleft()
                     if executor is None:
                         executor = self._make_executor()
-                    fut = executor.submit(
-                        _worker_run,
-                        task.with_attempt(attempt),
-                        with_metrics,
-                        ts_config,
-                        with_profile,
-                        heartbeat_dir,
-                        diss_config,
+                    try:
+                        fut = executor.submit(
+                            _worker_run,
+                            task.with_attempt(attempt),
+                            with_metrics,
+                            ts_config,
+                            with_profile,
+                            heartbeat_dir,
+                            diss_config,
+                        )
+                    except BrokenExecutor:
+                        # A worker died since the last wait.  This task never
+                        # started: requeue it at the same attempt and go on
+                        # with a fresh pool.  The dead pool's in-flight
+                        # futures fail below without a second rebuild.
+                        work.appendleft((index, task, attempt))
+                        n_submit_breaks += 1
+                        drop_pool()
+                        continue
+                    inflight[fut] = _Inflight(
+                        index, task, attempt, time.monotonic(), executor
                     )
-                    inflight[fut] = _Inflight(index, task, attempt, time.monotonic())
                 wait_timeout = None if self.timeout_s is None else _POLL_S
                 done, _ = futures_wait(
                     set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
@@ -275,7 +295,7 @@ class ParallelRunner:
                         results[item.index] = fut.result()
                         monitor.task_done(item.task.task_id, len(results))
                     except BrokenExecutor:
-                        rebuild = True
+                        rebuild = rebuild or item.pool is executor
                         fail_or_retry(
                             item.index, item.task, item.attempt,
                             "worker process died (pool broken)",
@@ -294,15 +314,13 @@ class ParallelRunner:
                             del inflight[fut]
                             fut.cancel()
                             n_timeouts += 1
-                            rebuild = True
+                            rebuild = rebuild or item.pool is executor
                             fail_or_retry(
                                 item.index, item.task, item.attempt,
                                 f"timeout after {self.timeout_s}s",
                             )
-                if rebuild and executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = None
-                    n_pool_rebuilds += 1
+                if rebuild:
+                    drop_pool()
                     # Futures cancelled before starting surface as
                     # CancelledError in the next done-set and are retried.
         finally:
@@ -336,6 +354,7 @@ class ParallelRunner:
             "retries": n_retries,
             "timeouts": n_timeouts,
             "pool_rebuilds": n_pool_rebuilds,
+            "submit_breaks": n_submit_breaks,
             "tasks": [
                 {
                     "task_id": r.task_id,

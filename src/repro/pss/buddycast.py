@@ -167,16 +167,12 @@ class BuddyCastPSS(PeerSamplingService):
         if contact in view:
             view[contact] = max(view[contact], freshness)
         else:
+            if len(view) >= self.view_size:
+                # Evict the stalest resident (the first one on ties) before
+                # the newcomer joins: evicting the newcomer itself would make
+                # the insert a silent no-op and lock the view's membership.
+                del view[min(view, key=view.__getitem__)]
             view[contact] = freshness
-            if len(view) > self.view_size:
-                # Evict the stalest entry *other than* the contact being
-                # inserted: evicting the newcomer itself would make the
-                # insert a silent no-op and lock the view's membership.
-                stalest = min(
-                    (kv for kv in view.items() if kv[0] != contact),
-                    key=lambda kv: kv[1],
-                )[0]
-                del view[stalest]
 
 
 class OraclePSS(PeerSamplingService):

@@ -28,6 +28,20 @@ class TestHistoryRecord:
     def test_inf_insane(self):
         assert not HistoryRecord("p", math.inf, 0.0).is_sane()
 
+    def test_negative_zero_sane(self):
+        assert HistoryRecord("p", -0.0, 0.0).is_sane()
+        assert HistoryRecord("p", 0.0, -0.0).is_sane()
+
+    def test_int_totals_sane(self):
+        assert HistoryRecord("p", 3, 0).is_sane()
+        assert HistoryRecord("p", 10**400, 1).is_sane()
+        assert not HistoryRecord("p", -1, 0).is_sane()
+
+    def test_negative_inf_insane(self):
+        assert not HistoryRecord("p", -math.inf, 0.0).is_sane()
+        assert not HistoryRecord("p", 0.0, -math.inf).is_sane()
+        assert not HistoryRecord("p", 0.0, math.inf).is_sane()
+
     def test_frozen(self):
         rec = HistoryRecord("p", 1.0, 2.0)
         with pytest.raises(AttributeError):

@@ -6,7 +6,12 @@ serial path.  Everything else (crash isolation, timeouts, merge
 bookkeeping) exists in service of that guarantee.
 """
 
+import os
 import pickle
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -144,6 +149,41 @@ class TestCrashIsolation:
             {"i": i} for i in range(4)
         ]
         assert runner.last_run_info["pool_rebuilds"] >= 1
+
+    def test_worker_death_before_refill_requeues_task(self, monkeypatch):
+        """A worker that dies between the wait and the next ``submit``
+        makes ``submit`` itself raise ``BrokenProcessPool``; the runner
+        must requeue that task on a fresh pool instead of aborting."""
+        made = []
+
+        class KillsWorkerOnRefill(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 5:  # first refill after the 4-deep fill
+                    os.kill(next(iter(self._processes)), signal.SIGKILL)
+                    deadline = time.monotonic() + 30.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                return super().submit(*args, **kwargs)
+
+        def make_executor(runner):
+            pool_cls = KillsWorkerOnRefill if not made else ProcessPoolExecutor
+            made.append(pool_cls)
+            return pool_cls(max_workers=runner.jobs, mp_context=get_context("fork"))
+
+        monkeypatch.setattr(ParallelRunner, "_make_executor", make_executor)
+        runner = ParallelRunner(jobs=2, retries=1)
+        results = runner.run(echo_tasks(8))
+        assert [r.payload for r in results] == [{"i": i} for i in range(8)]
+        assert runner.last_run_info["submit_breaks"] == 1
+        # One rebuild: the dead pool's in-flight futures do not tear down
+        # the fresh pool a second time.
+        assert runner.last_run_info["pool_rebuilds"] == 1
+        assert len(made) == 2
+        # The requeued task never ran on the dead pool.
+        assert results[4].attempt == 0
 
     def test_permanent_crash_raises_sweep_error(self):
         bad = [

@@ -113,6 +113,18 @@ class TestBuddyCast:
         assert "b" not in view
         assert len(view) == 2
 
+    def test_eviction_picks_first_stalest_resident_and_keeps_order(self):
+        # The newcomer is the stalest entry of all, and two residents tie
+        # for stalest: the first of them (dict order) goes, and the
+        # newcomer lands at the end.
+        pss = make_pss(set(range(5)), view_size=3)
+        pss.register(0)
+        for contact, fresh in (("a", 9.0), ("tie-1", 2.0), ("tie-2", 2.0)):
+            pss._insert(0, contact, freshness=fresh)
+        pss._insert(0, "newest-stalest", freshness=1.0)
+        assert pss.view_of(0) == ["a", "tie-2", "newest-stalest"]
+        assert pss._views[0]["newest-stalest"] == 1.0
+
 
 class TestChurnRejoin:
     def test_forget_drops_own_view_only(self):
